@@ -1,7 +1,9 @@
 #include "buffer/buffer_pool.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <thread>
@@ -9,13 +11,124 @@
 #include <vector>
 
 #include "buffer/segment_store.h"
+#include "common/crc32c.h"
 #include "common/epoch.h"
-#include "log/redo_log.h"
+#include "log/framed_log.h"
 #include "obs/event_log.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
+
+// ---------------------------------------------------------------------------
+// Swap payloads
+// ---------------------------------------------------------------------------
+
+uint32_t SegmentChecksum(ChecksumKind kind, const char* data, size_t n) {
+  return kind == ChecksumKind::kCrc32c ? Crc32c(data, n) : Fnv1a32(data, n);
+}
+
+void EncodeSwapPayload(const std::vector<Value>& vals, std::string* out,
+                       SwapFormat* format, uint32_t* width) {
+  uint64_t maxv = 0;
+  size_t varint_bytes = 0;
+  for (Value v : vals) {
+    if (v > maxv) maxv = v;
+    varint_bytes += VarintLength(v);
+  }
+  const uint32_t w = maxv <= 0xffu           ? 1
+                     : maxv <= 0xffffu       ? 2
+                     : maxv <= 0xffffffffull ? 4
+                                             : 8;
+  const bool fixed = vals.size() * w <= varint_bytes;
+  out->clear();
+  PutVarint64(out, vals.size());
+  if (fixed) {
+    // [count varint][width byte][count * width bytes, little-endian]
+    out->push_back(static_cast<char>(w));
+    for (Value v : vals) {
+      for (uint32_t b = 0; b < w; ++b) {
+        out->push_back(static_cast<char>((v >> (8 * b)) & 0xff));
+      }
+    }
+  } else {
+    for (Value v : vals) PutVarint64(out, v);
+  }
+  *format = fixed ? SwapFormat::kFixed : SwapFormat::kVarint;
+  *width = fixed ? w : 0;
+}
+
+namespace {
+
+/// One little-endian value of `width` bytes (any width in [1, 8]).
+inline Value LoadLe(const char* p, uint32_t width) {
+  uint64_t v = 0;
+  for (uint32_t b = 0; b < width; ++b) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[b])) << (8 * b);
+  }
+  return v;
+}
+
+/// Little-endian host only: widen `count` packed T values.
+template <typename T>
+void DecodeFixedAs(const char* src, size_t count, Value* out) {
+  for (size_t i = 0; i < count; ++i) {
+    T v;
+    std::memcpy(&v, src + i * sizeof(T), sizeof(T));
+    out[i] = v;
+  }
+}
+
+/// Decode `count` fixed-width values with a loop specialized per width
+/// (one memcpy for width 8) on little-endian hosts.
+void DecodeFixed(const char* src, size_t count, uint32_t width, Value* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    switch (width) {
+      case 1: return DecodeFixedAs<uint8_t>(src, count, out);
+      case 2: return DecodeFixedAs<uint16_t>(src, count, out);
+      case 4: return DecodeFixedAs<uint32_t>(src, count, out);
+      case 8: std::memcpy(out, src, count * sizeof(Value)); return;
+    }
+  }
+  for (size_t i = 0; i < count; ++i) out[i] = LoadLe(src + i * width, width);
+}
+
+/// Decode a verified swap payload of `num_slots` values into `*vals`.
+Status DecodeSwapPayload(const std::string& payload, uint32_t num_slots,
+                         SwapFormat format, uint32_t width,
+                         std::vector<Value>* vals) {
+  const char* data = payload.data();
+  const size_t size = payload.size();
+  size_t pos = 0;
+  uint64_t count = 0;
+  if (!GetVarint64(data, size, &pos, &count) || count != num_slots) {
+    return Status::Corruption("segment payload slot count mismatch");
+  }
+  vals->resize(count);
+  if (format == SwapFormat::kFixed) {
+    const uint32_t stored = pos < size ? static_cast<uint8_t>(data[pos]) : 0;
+    ++pos;
+    if (stored != width || width == 0 || width > 8 ||
+        size != pos + count * width) {
+      return Status::Corruption("segment payload fixed-width mismatch");
+    }
+    DecodeFixed(data + pos, count, width, vals->data());
+    return Status::OK();
+  }
+  Value* out = vals->data();
+  for (uint64_t i = 0; i < count; ++i) {
+    // Inlined one-byte fast path (values < 128); longer varints take
+    // the general decoder.
+    if (pos < size && static_cast<uint8_t>(data[pos]) < 0x80) {
+      out[i] = static_cast<uint8_t>(data[pos++]);
+    } else if (!GetVarint64(data, size, &pos, &out[i])) {
+      return Status::Corruption("segment payload truncated");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // SegmentPage
@@ -36,17 +149,21 @@ SegmentPage::~SegmentPage() {
 }
 
 void SegmentPage::SetResident(const CompressedColumn* col) {
+  encoding_.store(static_cast<uint8_t>(col->encoding()),
+                  std::memory_order_relaxed);
   resident_bytes_.store(col->byte_size(), std::memory_order_relaxed);
   payload_.store(col, std::memory_order_release);
 }
 
 void SegmentPage::SetSwap(SegmentStore* store, uint64_t offset,
                           uint64_t length, uint32_t checksum,
-                          SwapFormat format, uint32_t width) {
+                          SwapFormat format, uint32_t width,
+                          ChecksumKind checksum_kind) {
   store_ = store;
   swap_offset_ = offset;
   swap_length_ = length;
   swap_checksum_ = checksum;
+  swap_checksum_kind_ = checksum_kind;
   swap_format_ = format;
   swap_value_width_ = width;
 }
@@ -186,52 +303,18 @@ const CompressedColumn* BufferPool::LoadColdPayload(SegmentPage* page,
   *won = false;
   // Only swapped pages can ever be cold (eviction requires a store).
   std::string payload;
-  Status s = Status::OK();
   std::vector<Value> vals;
-  if (page->store_ == nullptr) {
-    s = Status::Corruption("cold page has no segment store");
-  } else {
-    s = page->store_->ReadAt(page->swap_offset_, page->swap_length_, &payload);
-  }
-  if (s.ok() &&
-      Fnv1a32(payload.data(), payload.size()) != page->swap_checksum_) {
+  Status s = page->store_ == nullptr
+                 ? Status::Corruption("cold page has no segment store")
+                 : page->store_->ReadAt(page->swap_offset_,
+                                        page->swap_length_, &payload);
+  if (s.ok() && SegmentChecksum(page->swap_checksum_kind_, payload.data(),
+                                payload.size()) != page->swap_checksum_) {
     s = Status::Corruption("segment payload checksum mismatch");
   }
   if (s.ok()) {
-    size_t pos = 0;
-    uint64_t count = 0;
-    if (!GetVarint64(payload.data(), payload.size(), &pos, &count) ||
-        count != page->num_slots_) {
-      s = Status::Corruption("segment payload slot count mismatch");
-    } else if (page->swap_format_ == SwapFormat::kFixed) {
-      // [count varint][width byte][count * width bytes, little-endian]
-      uint32_t width = pos < payload.size()
-                           ? static_cast<uint8_t>(payload[pos])
-                           : 0;
-      ++pos;
-      if (width != page->swap_value_width_ ||
-          payload.size() != pos + count * width) {
-        s = Status::Corruption("segment payload fixed-width mismatch");
-      } else {
-        vals.resize(count);
-        for (uint64_t i = 0; i < count; ++i) {
-          uint64_t v = 0;
-          for (uint32_t b = 0; b < width; ++b) {
-            v |= static_cast<uint64_t>(
-                     static_cast<uint8_t>(payload[pos + i * width + b]))
-                 << (8 * b);
-          }
-          vals[i] = v;
-        }
-      }
-    } else {
-      vals.resize(count);
-      for (uint64_t i = 0; i < count && s.ok(); ++i) {
-        if (!GetVarint64(payload.data(), payload.size(), &pos, &vals[i])) {
-          s = Status::Corruption("segment payload truncated");
-        }
-      }
-    }
+    s = DecodeSwapPayload(payload, page->num_slots_, page->swap_format_,
+                          page->swap_value_width_, &vals);
   }
   if (!s.ok()) {
     // Storage-integrity fault: serving ∅ instead would silently
@@ -249,11 +332,24 @@ const CompressedColumn* BufferPool::LoadColdPayload(SegmentPage* page,
     std::abort();
   }
 
-  const CompressedColumn* col =
-      CompressedColumn::Build(std::move(vals), page->compress_).release();
-  // resident_bytes_ is identical across reloads (Build is
-  // deterministic), so writing it before the publish CAS is benign
-  // even when two loaders race.
+  // The first hydration of a lazily restored page runs the encoding
+  // analysis and remembers its choice; every later reload skips it.
+  // Racing first loaders store the same value (Build is deterministic).
+  const uint8_t known = page->encoding_.load(std::memory_order_relaxed);
+  const CompressedColumn* col;
+  if (known == SegmentPage::kEncodingUnknown) {
+    col = CompressedColumn::Build(std::move(vals), page->compress_).release();
+    page->encoding_.store(static_cast<uint8_t>(col->encoding()),
+                          std::memory_order_relaxed);
+  } else {
+    col = CompressedColumn::BuildAs(
+              std::move(vals),
+              static_cast<CompressedColumn::Encoding>(known))
+              .release();
+  }
+  // resident_bytes_ is identical across reloads (same values, same
+  // encoding), so writing it before the publish CAS is benign even
+  // when two loaders race.
   page->resident_bytes_.store(col->byte_size(), std::memory_order_relaxed);
   const CompressedColumn* expected = nullptr;
   if (!page->payload_.compare_exchange_strong(expected, col,
@@ -293,11 +389,7 @@ bool BufferPool::ReadColdSlot(SegmentPage* page, uint32_t slot, Value* out) {
            .ok()) {
     return false;  // fall back to the full-inflate path (fail-stop there)
   }
-  uint64_t v = 0;
-  for (uint32_t b = 0; b < width; ++b) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[b])) << (8 * b);
-  }
-  *out = v;
+  *out = LoadLe(bytes.data(), width);
   BufferPool* pool = page->pool_.load(std::memory_order_acquire);
   if (pool != nullptr) {
     pool->cold_point_reads_.fetch_add(1, std::memory_order_relaxed);

@@ -34,8 +34,11 @@
 #define LSTORE_BUFFER_BUFFER_POOL_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "common/types.h"
 
@@ -56,6 +59,22 @@ class SegmentStore;
 /// whichever is smaller; the format travels in the page metadata and
 /// the checkpoint's segment-ref frames, never sniffed from bytes.
 enum class SwapFormat : uint8_t { kVarint = 0, kFixed = 1 };
+
+/// Checksum over a swapped segment payload, verified on every full
+/// hydration. kCrc32c (hardware-accelerated, see common/crc32c.h) is
+/// what the write-through records; kFnv1a is the original byte-at-a-
+/// time hash, still verified for pages named by checkpoints whose
+/// segment-ref frames carry no checksum kind. Like SwapFormat, the
+/// kind travels with the page, never sniffed from bytes.
+enum class ChecksumKind : uint8_t { kFnv1a = 0, kCrc32c = 1 };
+
+uint32_t SegmentChecksum(ChecksumKind kind, const char* data, size_t n);
+
+/// Serialize `vals` as a swap payload in whichever SwapFormat is
+/// smaller (kFixed wins ties for its O(1) slot addressing). `*width`
+/// receives the bytes per value for kFixed, 0 for kVarint.
+void EncodeSwapPayload(const std::vector<Value>& vals, std::string* out,
+                       SwapFormat* format, uint32_t* width);
 
 /// Aggregate pool counters (benchmarks, tests, Database::buffer_stats).
 struct BufferPoolStats {
@@ -85,7 +104,8 @@ class SegmentPage {
   SegmentPage& operator=(const SegmentPage&) = delete;
 
   /// Publish the freshly built payload (before the page becomes
-  /// reachable through a range's segment directory).
+  /// reachable through a range's segment directory). Its encoding is
+  /// remembered for every later reload.
   void SetResident(const CompressedColumn* col);
 
   /// Record the write-through location; from now on the page is
@@ -93,7 +113,8 @@ class SegmentPage {
   /// value for kFixed payloads (unused for kVarint).
   void SetSwap(SegmentStore* store, uint64_t offset, uint64_t length,
                uint32_t checksum, SwapFormat format = SwapFormat::kVarint,
-               uint32_t width = 0);
+               uint32_t width = 0,
+               ChecksumKind checksum_kind = ChecksumKind::kFnv1a);
 
   bool evictable() const { return store_ != nullptr; }
   bool resident() const {
@@ -103,6 +124,7 @@ class SegmentPage {
   uint64_t swap_offset() const { return swap_offset_; }
   uint64_t swap_length() const { return swap_length_; }
   uint32_t swap_checksum() const { return swap_checksum_; }
+  ChecksumKind swap_checksum_kind() const { return swap_checksum_kind_; }
   SwapFormat swap_format() const { return swap_format_; }
   uint32_t swap_value_width() const { return swap_value_width_; }
   uint32_t num_slots() const { return num_slots_; }
@@ -119,6 +141,13 @@ class SegmentPage {
   /// Cold slot reads since the page last went cold (promotion gate).
   std::atomic<uint32_t> cold_reads_{0};
   std::atomic<uint64_t> resident_bytes_{0};  ///< charged while resident
+  /// CompressedColumn::Encoding of the first payload built for this
+  /// page (merge time, or the first hydration of a lazily restored
+  /// page); kEncodingUnknown until then. Build is deterministic, so a
+  /// reload rebuilds with it (BuildAs) instead of re-running the
+  /// encoding analysis.
+  static constexpr uint8_t kEncodingUnknown = 0xff;
+  std::atomic<uint8_t> encoding_{kEncodingUnknown};
   uint32_t num_slots_;
   bool compress_;  ///< rebuild demand-loaded values with compression
   EpochManager* epochs_;
@@ -126,6 +155,7 @@ class SegmentPage {
   uint64_t swap_offset_ = 0;
   uint64_t swap_length_ = 0;
   uint32_t swap_checksum_ = 0;
+  ChecksumKind swap_checksum_kind_ = ChecksumKind::kFnv1a;
   SwapFormat swap_format_ = SwapFormat::kVarint;
   uint32_t swap_value_width_ = 0;  ///< bytes per value (kFixed only)
 
@@ -165,7 +195,8 @@ class BufferPool {
   const CompressedColumn* Acquire(SegmentPage* page);
 
   /// Pool-less demand load (a lazily restored segment on a database
-  /// reopened WITHOUT a pool): read, verify, build, publish — no
+  /// reopened WITHOUT a pool): one pread, one checksum, one decode,
+  /// then a build in the page's remembered encoding and a publish — no
   /// budget accounting, so the page stays resident once hydrated.
   /// `*won` reports whether this call published the payload.
   static const CompressedColumn* LoadColdPayload(SegmentPage* page,

@@ -1,8 +1,9 @@
 // Append-only swap store for read-optimized base segments.
 //
 // One SegmentStore backs one table's buffer-managed base segments:
-// merge output writes each consolidated column through as a varint
-// payload, records its {offset, length, checksum}, and from then on
+// merge output writes each consolidated column through as a swap
+// payload (varint or fixed-width, see SwapFormat), records its
+// {offset, length, CRC32C checksum}, and from then on
 // the in-memory copy is evictable — a cold page demand-loads by
 // reading its recorded byte range back. Offsets are stable for the
 // lifetime of the file (the store is never compacted in place), so

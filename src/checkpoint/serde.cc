@@ -265,6 +265,7 @@ Status CheckpointIO::WriteTable(Table& t, const std::string& path,
         PutVarint64(&p, page->swap_checksum());
         PutVarint64(&p, static_cast<uint64_t>(page->swap_format()));
         PutVarint64(&p, page->swap_value_width());
+        PutVarint64(&p, static_cast<uint64_t>(page->swap_checksum_kind()));
         LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kBaseSegmentRef, p));
         continue;
       }
@@ -451,13 +452,19 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
             !GetU64(p, &pos, &crc)) {
           return Status::Corruption("bad base segment ref");
         }
-        // Payload format + value width (absent in pre-fixed-width
-        // checkpoints = varint).
-        uint64_t format = 0, width = 0;
+        // Trailing optional fields: payload format + value width
+        // (absent in pre-fixed-width checkpoints = varint), then the
+        // checksum kind (absent in pre-CRC32C checkpoints = FNV-1a).
+        uint64_t format = 0, width = 0, kind = 0;
         if (pos < p.size() &&
             (!GetU64(p, &pos, &format) || !GetU64(p, &pos, &width) ||
              format > static_cast<uint64_t>(SwapFormat::kFixed))) {
           return Status::Corruption("bad base segment ref format");
+        }
+        if (pos < p.size() &&
+            (!GetU64(p, &pos, &kind) ||
+             kind > static_cast<uint64_t>(ChecksumKind::kCrc32c))) {
+          return Status::Corruption("bad base segment ref checksum kind");
         }
         if (pc >= nphys) return Status::Corruption("segment column overflow");
         if (t->segment_store_ == nullptr ||
@@ -472,8 +479,8 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
           std::string bytes;
           Status vs = t->segment_store_->ReadAt(offset, length, &bytes);
           if (!vs.ok() ||
-              Fnv1a32(bytes.data(), bytes.size()) !=
-                  static_cast<uint32_t>(crc)) {
+              SegmentChecksum(static_cast<ChecksumKind>(kind), bytes.data(),
+                              bytes.size()) != static_cast<uint32_t>(crc)) {
             return Status::Corruption(
                 "checkpoint segment reference failed verification: " + path);
           }
@@ -485,7 +492,8 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
                                            offset, length,
                                            static_cast<uint32_t>(crc),
                                            static_cast<SwapFormat>(format),
-                                           static_cast<uint32_t>(width));
+                                           static_cast<uint32_t>(width),
+                                           static_cast<ChecksumKind>(kind));
         Table::Range* r = t->EnsureRange(id);
         BaseSegment* old = r->base[pc].exchange(seg, std::memory_order_acq_rel);
         delete old;

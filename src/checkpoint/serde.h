@@ -50,7 +50,8 @@ enum class FrameType : uint8_t {
   /// segment store ({offset, length, checksum} instead of inline
   /// values): written when the buffer pool already wrote the segment
   /// through, so the checkpoint is pre-paid and recovery maps the
-  /// segment lazily instead of loading it.
+  /// segment lazily instead of loading it. Trailing optional fields:
+  /// {format, value width}, then the ChecksumKind (absent = FNV-1a).
   kBaseSegmentRef = 13,
 };
 
@@ -58,7 +59,11 @@ enum class FrameType : uint8_t {
 inline constexpr uint32_t kCheckpointMagic = 0x4b43534c;  // "LSCK"
 inline constexpr uint32_t kManifestMagic = 0x464d534c;    // "LSMF"
 inline constexpr uint32_t kCatalogMagic = 0x4754534c;     // "LSTG"
-inline constexpr uint32_t kCheckpointFormatVersion = 1;
+/// Version 2: kBaseSegmentRef frames carry a trailing checksum kind
+/// (CRC32C store payloads). Readers accept every version up to this
+/// one; an older binary refuses a newer file at open with a clean
+/// Corruption instead of fail-stopping later at demand-load.
+inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
 /// Frame-oriented writer with a running whole-file checksum. Finish()
 /// fsyncs; callers that need atomic replacement write to a temp path

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,7 +11,6 @@
 #include "core/historic.h"
 #include "core/merge.h"
 #include "core/query.h"
-#include "storage/compression/varint.h"
 
 namespace lstore {
 
@@ -102,6 +100,12 @@ Table::Table(std::string name, Schema schema, TableConfig config,
       metrics_->GetCounter("lstore_commits_total", "Pipeline commits");
   obs_.aborts =
       metrics_->GetCounter("lstore_aborts_total", "Pipeline aborts");
+  obs_.read_repair_retries = metrics_->GetCounter(
+      "lstore_read_repair_retries_total",
+      "Record resolutions retried after an inconsistent (mid-merge) read");
+  obs_.read_repair_exhausted = metrics_->GetCounter(
+      "lstore_read_repair_exhausted_total",
+      "Record resolutions that ran out of read-repair retries");
   if (config_.enable_logging && !config_.log_path.empty()) {
     log_ = std::make_unique<RedoLog>();
     log_->set_sync_counter(config_.sync_counter);
@@ -301,40 +305,18 @@ std::shared_ptr<SegmentPage> Table::MakeSegmentPage(std::vector<Value> vals) {
     // Write through BEFORE building (Build consumes vals): once the
     // bytes are in the store the page is evictable, and a durable
     // store lets checkpoints reference the segment instead of
-    // rewriting it. The payload format is chosen per segment: the
-    // byte-aligned fixed-width layout wins ties because it gives cold
-    // POINT reads O(1) slot addressing (decode one slot, not the
-    // range); value distributions where varint is strictly smaller
-    // keep the compact layout and the full-inflate path.
-    uint64_t maxv = 0;
-    size_t varint_bytes = 0;
-    for (Value v : vals) {
-      if (v > maxv) maxv = v;
-      varint_bytes += VarintLength(v);
-    }
-    const uint32_t width = maxv <= 0xffu           ? 1
-                           : maxv <= 0xffffu       ? 2
-                           : maxv <= 0xffffffffull ? 4
-                                                   : 8;
-    const bool fixed = vals.size() * width <= varint_bytes;
+    // rewriting it. The payload format is chosen per segment (the
+    // fixed-width layout gives cold POINT reads O(1) slot addressing).
     std::string payload;
-    PutVarint64(&payload, vals.size());
-    if (fixed) {
-      payload.push_back(static_cast<char>(width));
-      for (Value v : vals) {
-        for (uint32_t b = 0; b < width; ++b) {
-          payload.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-        }
-      }
-    } else {
-      for (Value v : vals) PutVarint64(&payload, v);
-    }
+    SwapFormat format;
+    uint32_t width;
+    EncodeSwapPayload(vals, &payload, &format, &width);
     uint64_t offset = 0;
     if (segment_store_->Append(payload, &offset).ok()) {
+      const ChecksumKind kind = ChecksumKind::kCrc32c;
       page->SetSwap(segment_store_, offset, payload.size(),
-                    Fnv1a32(payload.data(), payload.size()),
-                    fixed ? SwapFormat::kFixed : SwapFormat::kVarint,
-                    fixed ? width : 0);
+                    SegmentChecksum(kind, payload.data(), payload.size()),
+                    format, width, kind);
     }
     // Append failure (e.g. ENOSPC): the page simply stays resident
     // and unevictable — correctness is unaffected.
@@ -348,11 +330,11 @@ std::shared_ptr<SegmentPage> Table::MakeSegmentPage(std::vector<Value> vals) {
 
 std::shared_ptr<SegmentPage> Table::MakeColdSegmentPage(
     uint32_t num_slots, uint64_t offset, uint64_t length, uint32_t checksum,
-    SwapFormat format, uint32_t value_width) {
+    SwapFormat format, uint32_t value_width, ChecksumKind checksum_kind) {
   auto page = std::make_shared<SegmentPage>(&epochs_, num_slots,
                                             config_.compress_merged_pages);
   page->SetSwap(segment_store_, offset, length, checksum, format,
-                value_width);
+                value_width, checksum_kind);
   if (buffer_pool_ != nullptr) buffer_pool_->Register(page.get());
   return page;
 }
@@ -472,15 +454,10 @@ Status Table::ResolveRecord(Range& r, uint32_t slot, const ReadSpec& spec,
     if (consistent) return status;
     // Theorem 2: an inconsistent read (detected via the in-page
     // lineage) is repaired by re-resolving against fresh state.
+    obs_.read_repair_retries->Increment();
     std::this_thread::yield();
-    if (attempt == 6) {
-      std::fprintf(stderr,
-                   "lstore: ResolveRecord retries exhausted slot=%u as_of=%llu"
-                   " tps=%u\n",
-                   slot, (unsigned long long)spec.as_of,
-                   r.merged_tps.load(std::memory_order_acquire));
-    }
   }
+  obs_.read_repair_exhausted->Increment();
   return status;
 }
 

@@ -490,11 +490,12 @@ class Table : public TxnContext {
   /// A cold page backed by already-durable store bytes (lazy restore:
   /// recovery maps segments instead of loading them). Format + width
   /// come from the checkpoint's segment-ref frame so fixed-width
-  /// segments keep their O(1) cold point reads across restarts.
+  /// segments keep their O(1) cold point reads across restarts; so
+  /// does the checksum kind the store bytes verify under.
   std::shared_ptr<SegmentPage> MakeColdSegmentPage(
       uint32_t num_slots, uint64_t offset, uint64_t length,
-      uint32_t checksum, SwapFormat format = SwapFormat::kVarint,
-      uint32_t value_width = 0);
+      uint32_t checksum, SwapFormat format, uint32_t value_width,
+      ChecksumKind checksum_kind);
   void StampCommitTime(std::atomic<Value>* slot, Value observed_raw) const;
 
   /// Scan helpers.
@@ -534,6 +535,8 @@ class Table : public TxnContext {
     Histogram* commit_publish_ns = nullptr;  ///< state flip + write stamping
     Counter* commits = nullptr;              ///< pipeline commits
     Counter* aborts = nullptr;               ///< pipeline aborts
+    Counter* read_repair_retries = nullptr;    ///< ResolveRecord re-runs
+    Counter* read_repair_exhausted = nullptr;  ///< out of re-runs
   } obs_;
 
   /// The enclosing engine whose sessions are also valid here (the

@@ -25,8 +25,15 @@ class CompressedColumn {
 
   /// Build the read-optimized form of `values`. When `try_compress` is
   /// false (or no codec wins), the plain layout is kept.
+  /// Deterministic: the same values always get the same encoding.
   static std::unique_ptr<CompressedColumn> Build(std::vector<Value> values,
                                                  bool try_compress);
+
+  /// Build `values` in a known `encoding` (one Build chose for the same
+  /// values earlier), skipping the analysis: a buffer-pool reload of an
+  /// evicted segment rebuilds it this way.
+  static std::unique_ptr<CompressedColumn> BuildAs(std::vector<Value> values,
+                                                   Encoding encoding);
 
   Value Get(size_t i) const {
     switch (encoding_) {

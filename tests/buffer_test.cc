@@ -22,9 +22,11 @@
 #include <vector>
 
 #include "buffer/buffer_pool.h"
+#include "buffer/page_handle.h"
 #include "buffer/segment_store.h"
 #include "checkpoint/checkpoint_manager.h"
 #include "checkpoint/serde.h"
+#include "common/crc32c.h"
 #include "common/epoch.h"
 #include "common/random.h"
 #include "core/database.h"
@@ -360,10 +362,15 @@ TEST(BufferPoolTest, VerifyOnOpenCatchesStoreCorruption) {
     while (r.Next(&type, &p)) {
       if (type != FrameType::kBaseSegmentRef) continue;
       size_t pos = 0;
-      uint64_t id, pc, tps, num_slots, offset, length;
+      uint64_t id, pc, tps, num_slots, offset, length, crc, format, width,
+          kind;
       ASSERT_TRUE(GetU64(p, &pos, &id) && GetU64(p, &pos, &pc) &&
                   GetU64(p, &pos, &tps) && GetU64(p, &pos, &num_slots) &&
-                  GetU64(p, &pos, &offset) && GetU64(p, &pos, &length));
+                  GetU64(p, &pos, &offset) && GetU64(p, &pos, &length) &&
+                  GetU64(p, &pos, &crc) && GetU64(p, &pos, &format) &&
+                  GetU64(p, &pos, &width) && GetU64(p, &pos, &kind));
+      // New write-throughs are CRC32C-checked.
+      EXPECT_EQ(kind, static_cast<uint64_t>(ChecksumKind::kCrc32c));
       if (pc >= 1 && pc <= 3) {  // a pure data column
         corrupt_at = offset + length / 2;
         break;
@@ -507,6 +514,309 @@ TEST(BufferPoolTest, ColdSlotReadDecodesOneSlotWithoutInflating) {
              Fnv1a32(varint.data(), varint.size()));
   EXPECT_FALSE(BufferPool::ReadColdSlot(&vp, 1, &v));
   epochs.DrainAllUnsafe();
+}
+
+/// A 4096-slot page of one encoding/format combination.
+struct ReloadCase {
+  const char* name;
+  CompressedColumn::Encoding encoding;
+  SwapFormat format;
+  std::vector<Value> vals;
+};
+
+std::vector<ReloadCase> ReloadCases() {
+  using Enc = CompressedColumn::Encoding;
+  constexpr size_t kN = 4096;
+  constexpr Value kHuge = Value{1} << 40;  // forces width 8 => varint
+  std::vector<ReloadCase> cases = {
+      {"plain_fixed", Enc::kPlain, SwapFormat::kFixed, {}},
+      {"plain_varint", Enc::kPlain, SwapFormat::kVarint, {}},
+      {"dict_fixed", Enc::kDictionary, SwapFormat::kFixed, {}},
+      {"dict_varint", Enc::kDictionary, SwapFormat::kVarint, {}},
+      {"rle_fixed", Enc::kRle, SwapFormat::kFixed, {}},
+      {"rle_varint", Enc::kRle, SwapFormat::kVarint, {}}};
+  for (ReloadCase& c : cases) c.vals.resize(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    const Value spread = (i * 7919) % kN;  // all distinct, no runs
+    cases[0].vals[i] = 1000 + spread;      // 2-byte varint == width 2
+    cases[1].vals[i] = i == 0 ? kHuge : spread;
+    cases[2].vals[i] = 200 + spread % 16;  // 2-byte varint > width 1
+    cases[3].vals[i] = spread % 16 == 15 ? kHuge : spread % 16;
+    cases[4].vals[i] = 300 + i / 64;
+    cases[5].vals[i] = i + 64 >= kN ? kHuge : i / 64;
+  }
+  return cases;
+}
+
+TEST(BufferPoolTest, EvictReloadKeepsEncodingAndValues) {
+  // A miss rebuilds in the encoding the merge chose, from either swap
+  // format, and every value survives the evict/reload round trip.
+  SegmentStore store;
+  ASSERT_TRUE(store.OpenTemp().ok());
+  EpochManager epochs;
+  BufferPool pool(/*budget_bytes=*/1);  // nothing stays resident
+  std::vector<std::unique_ptr<SegmentPage>> pages;
+  for (const ReloadCase& c : ReloadCases()) {
+    SCOPED_TRACE(c.name);
+    std::string payload;
+    SwapFormat format;
+    uint32_t width;
+    EncodeSwapPayload(c.vals, &payload, &format, &width);
+    ASSERT_EQ(format, c.format);
+    uint64_t off = 0;
+    ASSERT_TRUE(store.Append(payload, &off).ok());
+    auto page = std::make_unique<SegmentPage>(
+        &epochs, static_cast<uint32_t>(c.vals.size()), /*compress=*/true);
+    page->SetSwap(&store, off, payload.size(),
+                  Crc32c(payload.data(), payload.size()), format, width,
+                  ChecksumKind::kCrc32c);
+    page->SetResident(CompressedColumn::Build(c.vals, true).release());
+    pool.Register(page.get());
+    pool.EnforceBudget();
+    ASSERT_FALSE(page->resident());
+    const uint64_t misses = pool.stats().misses;
+    {
+      PageHandle h(page.get());
+      EXPECT_EQ(pool.stats().misses, misses + 1);
+      EXPECT_EQ(h->encoding(), c.encoding);
+      for (size_t i = 0; i < c.vals.size(); ++i) {
+        ASSERT_EQ(h.Get(i), c.vals[i]) << "slot " << i;
+      }
+    }
+    pages.push_back(std::move(page));
+  }
+  pages.clear();
+  epochs.DrainAllUnsafe();
+}
+
+TEST(BufferPoolTest, VarintPayloadDecodesEveryLength) {
+  // Varints of 1..10 bytes in one payload: the one-byte fast path and
+  // the general decoder interleave.
+  std::vector<Value> vals;
+  for (int k = 0; k <= 9; ++k) {
+    const Value p = k == 9 ? Value{1} << 63 : Value{1} << (7 * k);
+    vals.push_back(p - 1);
+    vals.push_back(p);
+  }
+  vals.push_back(kNull);
+  Random rng(3);
+  for (int i = 0; i < 200; ++i) vals.push_back(vals[rng.Uniform(21)]);
+  for (int i = 0; i < 21; ++i) vals.push_back(vals[i]);
+  std::string payload;
+  PutVarint64(&payload, vals.size());
+  for (Value v : vals) PutVarint64(&payload, v);
+  SegmentStore store;
+  ASSERT_TRUE(store.OpenTemp().ok());
+  uint64_t off = 0;
+  ASSERT_TRUE(store.Append(payload, &off).ok());
+  EpochManager epochs;
+  {
+    SegmentPage page(&epochs, static_cast<uint32_t>(vals.size()),
+                     /*compress=*/false);
+    page.SetSwap(&store, off, payload.size(),
+                 Fnv1a32(payload.data(), payload.size()));
+    bool won = false;
+    const CompressedColumn* col = BufferPool::LoadColdPayload(&page, &won);
+    ASSERT_TRUE(won);
+    for (size_t i = 0; i < vals.size(); ++i) {
+      ASSERT_EQ(col->Get(i), vals[i]) << "slot " << i;
+    }
+  }
+  epochs.DrainAllUnsafe();
+}
+
+TEST(BufferPoolTest, ReloadUsesRememberedEncoding) {
+  // The reload does not re-decide: a page first published as plain
+  // (although Build would pick RLE for these values) comes back plain.
+  SegmentStore store;
+  ASSERT_TRUE(store.OpenTemp().ok());
+  EpochManager epochs;
+  BufferPool pool(/*budget_bytes=*/1);
+  std::vector<Value> vals(4096);
+  for (size_t i = 0; i < vals.size(); ++i) vals[i] = i / 512;
+  ASSERT_EQ(CompressedColumn::Build(vals, true)->encoding(),
+            CompressedColumn::Encoding::kRle);
+  std::string payload;
+  SwapFormat format;
+  uint32_t width;
+  EncodeSwapPayload(vals, &payload, &format, &width);
+  uint64_t off = 0;
+  ASSERT_TRUE(store.Append(payload, &off).ok());
+  {
+    SegmentPage page(&epochs, 4096, /*compress=*/true);
+    page.SetSwap(&store, off, payload.size(),
+                 Crc32c(payload.data(), payload.size()), format, width,
+                 ChecksumKind::kCrc32c);
+    page.SetResident(
+        CompressedColumn::BuildAs(vals, CompressedColumn::Encoding::kPlain)
+            .release());
+    pool.Register(&page);
+    pool.EnforceBudget();
+    ASSERT_FALSE(page.resident());
+    PageHandle h(&page);
+    EXPECT_EQ(h->encoding(), CompressedColumn::Encoding::kPlain);
+    EXPECT_EQ(h.Get(4095), 7u);
+  }
+  epochs.DrainAllUnsafe();
+}
+
+TEST(BufferPoolTest, ChecksumMismatchFailStops) {
+  // A payload whose bytes do not match the recorded checksum is never
+  // served: hydration aborts, under either checksum kind.
+  SegmentStore store;
+  ASSERT_TRUE(store.OpenTemp().ok());
+  EpochManager epochs;
+  std::vector<Value> vals(100, 7);
+  std::string payload;
+  SwapFormat format;
+  uint32_t width;
+  EncodeSwapPayload(vals, &payload, &format, &width);
+  uint64_t off = 0;
+  ASSERT_TRUE(store.Append(payload, &off).ok());
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (ChecksumKind kind : {ChecksumKind::kCrc32c, ChecksumKind::kFnv1a}) {
+    SegmentPage page(&epochs, 100, /*compress=*/true);
+    page.SetSwap(&store, off, payload.size(),
+                 SegmentChecksum(kind, payload.data(), payload.size()) ^ 1,
+                 format, width, kind);
+    bool won = false;
+    EXPECT_DEATH(BufferPool::LoadColdPayload(&page, &won),
+                 "checksum mismatch");
+  }
+}
+
+TEST(BufferPoolTest, MalformedVarintPayloadFailStops) {
+  // A payload whose checksum matches but whose varints never end (no
+  // stop byte) is a storage fault too.
+  SegmentStore store;
+  ASSERT_TRUE(store.OpenTemp().ok());
+  EpochManager epochs;
+  std::string payload;
+  PutVarint64(&payload, 10);
+  payload.append(20, '\xff');
+  uint64_t off = 0;
+  ASSERT_TRUE(store.Append(payload, &off).ok());
+  SegmentPage page(&epochs, 10, /*compress=*/true);
+  page.SetSwap(&store, off, payload.size(),
+               Crc32c(payload.data(), payload.size()), SwapFormat::kVarint, 0,
+               ChecksumKind::kCrc32c);
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  bool won = false;
+  EXPECT_DEATH(BufferPool::LoadColdPayload(&page, &won),
+               "segment payload truncated");
+}
+
+TEST(BufferPoolTest, LegacySegmentRefRestoresAsFnv1a) {
+  // Checkpoints written before CRC32C carry segment-ref frames without
+  // the checksum-kind field and FNV-1a checksums. Rewrite a fresh
+  // checkpoint into that shape: it must restore, pass the eager
+  // verification as FNV-1a, hydrate exactly, and still catch a flipped
+  // store byte.
+  const std::string dir = ScratchDir("legacy_refs");
+  constexpr uint64_t kRows = 2000;
+  DurabilityOptions opts;
+  opts.buffer_pool_bytes = 4096;
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, opts, &db).ok());
+    ASSERT_TRUE(db->CreateTable("t", Schema(4), SmallConfig()).ok());
+    Table* t = db->GetTable("t");
+    Txn txn = db->Begin();
+    std::vector<std::vector<Value>> batch;
+    for (Value k = 0; k < kRows; ++k) {
+      batch.push_back({k, k + 1, k * 3, k % 5});
+    }
+    ASSERT_TRUE(t->InsertBatch(txn, batch).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+    t->FlushAll();
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  Manifest m;
+  bool exists = false;
+  ASSERT_TRUE(ReadManifest(dir, &m, &exists).ok());
+  ASSERT_TRUE(exists);
+  const std::string ckpt = dir + "/" + m.entries.front().file;
+  SegmentStore segs;
+  ASSERT_TRUE(segs.OpenReadOnly(dir + "/t.segs").ok());
+  uint64_t data_offset = 0, data_length = 0, refs = 0;
+  {
+    FrameReader r;
+    ASSERT_TRUE(r.Open(ckpt, kCheckpointMagic).ok());
+    FrameWriter w;
+    ASSERT_TRUE(w.Open(ckpt + ".legacy", kCheckpointMagic).ok());
+    FrameType type;
+    std::string_view p;
+    while (r.Next(&type, &p)) {
+      if (type != FrameType::kBaseSegmentRef) {
+        ASSERT_TRUE(w.WriteFrame(type, std::string(p)).ok());
+        continue;
+      }
+      size_t pos = 0;
+      uint64_t f[10];  // id pc tps slots offset length crc format width kind
+      for (uint64_t& x : f) ASSERT_TRUE(GetU64(p, &pos, &x));
+      ASSERT_EQ(pos, p.size());
+      ASSERT_EQ(f[9], static_cast<uint64_t>(ChecksumKind::kCrc32c));
+      std::string bytes;
+      ASSERT_TRUE(segs.ReadAt(f[4], f[5], &bytes).ok());
+      f[6] = Fnv1a32(bytes.data(), bytes.size());
+      std::string legacy;
+      for (int i = 0; i < 9; ++i) PutVarint64(&legacy, f[i]);
+      ASSERT_TRUE(w.WriteFrame(type, legacy).ok());
+      ++refs;
+      if (f[1] == 2) {  // a pure data column
+        data_offset = f[4];
+        data_length = f[5];
+      }
+    }
+    ASSERT_TRUE(r.status().ok());
+    ASSERT_TRUE(w.Finish().ok());
+    m.entries.front().file_checksum = w.file_checksum();
+  }
+  ASSERT_GT(refs, 0u);
+  ASSERT_GT(data_length, 0u);
+  std::filesystem::rename(ckpt + ".legacy", ckpt);
+  ASSERT_TRUE(WriteManifest(dir, m).ok());
+
+  opts.verify_segment_store_on_open = true;
+  {
+    std::unique_ptr<Database> db;
+    Status s = Database::Open(dir, opts, &db);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    Table* t = db->GetTable("t");
+    ASSERT_NE(t, nullptr);
+    for (ColumnId c : {1u, 2u, 3u}) {
+      uint64_t sum = 0, expect = 0, n = 0;
+      ASSERT_TRUE(t->NewQuery().Sum(c, &sum, &n).ok());
+      for (Value k = 0; k < kRows; ++k) {
+        expect += c == 1 ? k + 1 : c == 2 ? k * 3 : k % 5;
+      }
+      EXPECT_EQ(n, kRows);
+      EXPECT_EQ(sum, expect) << "column " << c;
+    }
+    // A new checkpoint re-references the legacy pages under their
+    // recorded kind (FNV-1a).
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  {
+    std::unique_ptr<Database> db;
+    Status s = Database::Open(dir, opts, &db);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  {
+    std::FILE* f = std::fopen((dir + "/t.segs").c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const long at = static_cast<long>(data_offset + data_length / 2);
+    std::fseek(f, at, SEEK_SET);
+    int c = std::fgetc(f);
+    std::fseek(f, at, SEEK_SET);
+    std::fputc(c ^ 0xFF, f);
+    std::fclose(f);
+  }
+  {
+    std::unique_ptr<Database> db;
+    EXPECT_TRUE(Database::Open(dir, opts, &db).IsCorruption());
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BufferPoolTest, PointReadMissOnFixedSegmentSkipsInflation) {

@@ -1,14 +1,17 @@
 // Unit tests for the common runtime: Status, type encodings, the
-// logical clock, bit utilities, latches, and random generators.
+// logical clock, bit utilities, CRC-32C, latches, and random
+// generators.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/bitutil.h"
 #include "common/clock.h"
+#include "common/crc32c.h"
 #include "common/latch.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -138,6 +141,36 @@ TEST(BitUtilTest, ZigzagRoundTrip) {
   }
   // Small magnitudes map to small codes (what makes varints compact).
   EXPECT_LE(ZigzagEncode(-3), 6u);
+}
+
+TEST(Crc32cTest, KnownAnswers) {
+  // The standard CRC-32C check value, plus the empty input.
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32c(check, 9), 0xE3069283u);
+  EXPECT_EQ(crc32c::Portable(check, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(check, 0), 0u);
+  // 32 zero bytes (RFC 3720, B.4).
+  const std::string zeros(32, '\0');
+  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+}
+
+TEST(Crc32cTest, HardwareAndTablePathsAgree) {
+  if (!crc32c::HardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 on this CPU";
+  }
+  Random rng(99);
+  std::string buf(257 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  // Every length 0..257 at every start offset 0..7, so the 8-byte
+  // loops see unaligned heads and every tail length.
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const char* p = buf.data() + off;
+      ASSERT_EQ(crc32c::Hardware(p, len), crc32c::Portable(p, len))
+          << "off " << off << " len " << len;
+      ASSERT_EQ(Crc32c(p, len), crc32c::Portable(p, len));
+    }
+  }
 }
 
 TEST(RandomTest, UniformStaysInRange) {

@@ -161,6 +161,71 @@ TEST(CompressedColumnTest, CompressionDisabledKeepsPlain) {
   EXPECT_EQ(col->encoding(), CompressedColumn::Encoding::kPlain);
 }
 
+TEST(CompressedColumnTest, DictionaryDecisionAtDistinctThreshold) {
+  // Dictionary coding is considered only while the page holds at most
+  // n/4 + 1 distinct values. Cycling through d values keeps every run
+  // length 1, so RLE never wins and the distinct count alone decides.
+  constexpr size_t kN = 4096;
+  constexpr size_t kLimit = kN / 4 + 1;
+  using Enc = CompressedColumn::Encoding;
+  auto cycle = [](size_t d, Value base) {
+    std::vector<Value> vals(kN);
+    for (size_t i = 0; i < kN; ++i) vals[i] = base + (i * 7919) % d;
+    return vals;
+  };
+  struct Case {
+    size_t distinct;
+    Value base;
+    Enc expected;
+  };
+  for (const Case& c : {Case{kN, 1000, Enc::kPlain},
+                        Case{kLimit, 1000, Enc::kDictionary},
+                        Case{kLimit + 1, 1000, Enc::kPlain},
+                        // kNull is a value like any other.
+                        Case{kLimit, kNull - kLimit + 1, Enc::kDictionary},
+                        Case{kLimit + 1, kNull - kLimit, Enc::kPlain}}) {
+    std::vector<Value> vals = cycle(c.distinct, c.base);
+    auto col = CompressedColumn::Build(vals, true);
+    EXPECT_EQ(col->encoding(), c.expected) << c.distinct << " distinct";
+    for (size_t i = 0; i < kN; ++i) ASSERT_EQ(col->Get(i), vals[i]);
+  }
+  // Long runs: RLE wins at any cardinality, including all-distinct
+  // runs of length 4 (runs * 16 bytes == plain / 2).
+  for (size_t run : {size_t{4}, size_t{64}, kN}) {
+    std::vector<Value> vals(kN);
+    for (size_t i = 0; i < kN; ++i) vals[i] = 5 + i / run;
+    auto col = CompressedColumn::Build(vals, true);
+    EXPECT_EQ(col->encoding(), Enc::kRle) << "run " << run;
+    for (size_t i = 0; i < kN; ++i) ASSERT_EQ(col->Get(i), vals[i]);
+  }
+  // Runs of 3 are too short for RLE, and n/3 distinct values too many
+  // for the dictionary.
+  std::vector<Value> vals(kN);
+  for (size_t i = 0; i < kN; ++i) vals[i] = 5 + i / 3;
+  EXPECT_EQ(CompressedColumn::Build(vals, true)->encoding(), Enc::kPlain);
+}
+
+TEST(CompressedColumnTest, BuildAsReproducesBuild) {
+  // A reload rebuilds in the remembered encoding; the column must be
+  // the one Build produced for the same values.
+  Random rng(11);
+  for (int shape = 0; shape < 3; ++shape) {
+    std::vector<Value> vals;
+    for (int i = 0; i < 4096; ++i) {
+      vals.push_back(shape == 0   ? Value(i / 512)
+                     : shape == 1 ? 900000 + rng.Uniform(16)
+                                  : rng.Next());
+    }
+    auto built = CompressedColumn::Build(vals, true);
+    auto again = CompressedColumn::BuildAs(vals, built->encoding());
+    EXPECT_EQ(again->encoding(), built->encoding());
+    EXPECT_EQ(again->byte_size(), built->byte_size());
+    for (size_t i = 0; i < vals.size(); ++i) {
+      ASSERT_EQ(again->Get(i), vals[i]);
+    }
+  }
+}
+
 // Property sweep: every codec must round-trip across data shapes.
 struct CodecCase {
   const char* name;

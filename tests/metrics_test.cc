@@ -292,6 +292,32 @@ TEST(TableMetricsTest, StandaloneTableOwnsARegistry) {
   }
 }
 
+TEST(TableMetricsTest, ReadRepairCountersExportedAtZero) {
+  // Read-repair retries (ResolveRecord re-running an inconsistent
+  // mid-merge read) are counters, registered up front so a scrape
+  // sees them at 0 before any retry happens.
+  TableConfig cfg;
+  cfg.enable_merge_thread = false;
+  Table table("t", Schema(3), cfg);
+  Txn txn = table.Begin();
+  ASSERT_TRUE(table.Insert(txn, {1, 2, 3}).ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  Txn r = table.Begin();
+  std::vector<Value> row;
+  ASSERT_TRUE(table.Read(r, 1, 0b110, &row).ok());
+  ASSERT_TRUE(r.Commit().ok());
+
+  MetricsSnapshot s = table.metrics()->Snapshot();
+  const std::string prom = s.RenderPrometheus();
+  for (const char* name : {"lstore_read_repair_retries_total",
+                           "lstore_read_repair_exhausted_total"}) {
+    ASSERT_NE(s.FindCounter(name), nullptr) << name;
+    EXPECT_EQ(s.CounterValue(name), 0u) << name;
+    EXPECT_NE(prom.find(std::string(name) + " 0"), std::string::npos)
+        << name;
+  }
+}
+
 // --- database integration --------------------------------------------------
 
 class DatabaseMetricsTest : public ::testing::Test {

@@ -65,9 +65,15 @@ TEST(OrProtocolTest, PromotionsAreFarFewerThanWriters) {
   OrProtocolPage page(/*flush_threshold=*/1u << 30);
   constexpr int kThreads = 8, kPerThread = 2000;
   std::atomic<uint64_t> next_lsn{0};
+  // Start the writers together: started one by one on a busy machine,
+  // each can finish its burst before the next exists, and writers that
+  // never overlap cannot relay ownership.
+  std::atomic<int> ready{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
       for (int i = 0; i < kPerThread; ++i) {
         page.BeginWrite();
         page.EndWrite(next_lsn.fetch_add(1) + 1);
